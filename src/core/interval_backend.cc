@@ -580,6 +580,36 @@ StatusOr<std::unique_ptr<IntervalBackend>> MakeIntervalBackend(
   return it->second();
 }
 
+Status SaveIntervalSection(std::ostream& out,
+                           const IntervalBackend* backend) {
+  if (backend == nullptr) {
+    out << "interval_backend none\n";
+    return Status::Ok();
+  }
+  out << "interval_backend " << backend->name() << '\n';
+  return backend->Save(out);
+}
+
+StatusOr<std::unique_ptr<IntervalBackend>> LoadIntervalSection(
+    std::istream& in) {
+  std::string key;
+  std::string name;
+  if (!(in >> key) || key != "interval_backend") {
+    return Status::InvalidArgument("missing interval_backend section");
+  }
+  // The name is the rest of the line, so a stray suffix is rejected as
+  // an unknown backend instead of being read as the payload's magic.
+  if (in.peek() == ' ') in.get();
+  if (!std::getline(in, name) || name.empty()) {
+    return Status::InvalidArgument("empty interval_backend section");
+  }
+  if (name == "none") return std::unique_ptr<IntervalBackend>();
+  StatusOr<std::unique_ptr<IntervalBackend>> made = MakeIntervalBackend(name);
+  if (!made.ok()) return made.status();
+  if (Status status = made.value()->Load(in); !status.ok()) return status;
+  return made;
+}
+
 std::string IntervalBackendNamesCsv() {
   std::string csv;
   for (const char* name : kIntervalBackendNames) {

@@ -158,6 +158,18 @@ class IntervalBackend {
 StatusOr<std::unique_ptr<IntervalBackend>> MakeIntervalBackend(
     const std::string& name);
 
+/// The versioned interval section every artifact carrying interval state
+/// writes (the pipeline manifest, each arm of a dnc-rdrp stream):
+/// "interval_backend <name>" followed by the backend's own payload, or
+/// "interval_backend none" when `backend` is nullptr.
+Status SaveIntervalSection(std::ostream& out, const IntervalBackend* backend);
+
+/// Reads a section written by SaveIntervalSection: nullptr for "none",
+/// otherwise the loaded backend. A missing section, an unknown name or a
+/// corrupt payload returns InvalidArgument.
+StatusOr<std::unique_ptr<IntervalBackend>> LoadIntervalSection(
+    std::istream& in);
+
 /// "split, weighted, cqr" — for flag-validation error messages.
 std::string IntervalBackendNamesCsv();
 

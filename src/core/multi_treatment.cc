@@ -7,6 +7,12 @@
 #include "common/math_util.h"
 
 namespace roicl::core {
+namespace {
+
+// v2 added each arm's interval-backend section after its model blob.
+constexpr char kDncRdrpMagic[] = "roicl-dnc-rdrp-v2";
+
+}  // namespace
 
 void DivideAndConquerRdrp::FitWithCalibration(
     const synth::MultiTreatmentDataset& train,
@@ -64,10 +70,13 @@ Status DivideAndConquerRdrp::Save(std::ostream& out) const {
   if (models_.empty()) {
     return Status::FailedPrecondition("divide-and-conquer model not fitted");
   }
-  out << "roicl-dnc-rdrp-v1\n" << models_.size() << '\n';
+  out << kDncRdrpMagic << '\n' << models_.size() << '\n';
   for (const auto& model : models_) {
-    Status arm_status = model->Save(out);
-    if (!arm_status.ok()) return arm_status;
+    if (Status status = model->Save(out); !status.ok()) return status;
+    if (Status status = SaveIntervalSection(out, model->interval_backend());
+        !status.ok()) {
+      return status;
+    }
   }
   return Status::Ok();
 }
@@ -79,9 +88,16 @@ StatusOr<DivideAndConquerRdrp> DivideAndConquerRdrp::Load(
     return Status::InvalidArgument(
         "empty or truncated dnc-rdrp model stream");
   }
-  if (magic != "roicl-dnc-rdrp-v1") {
-    return Status::InvalidArgument("bad magic '" + magic +
-                                   "' (expected roicl-dnc-rdrp-v1)");
+  if (magic != kDncRdrpMagic) {
+    // v1 streams carried no per-arm interval backend; loading one would
+    // silently swap a cqr/weighted arm for split arithmetic.
+    if (magic.rfind("roicl-dnc-rdrp-v", 0) == 0) {
+      return Status::InvalidArgument(
+          "unsupported dnc-rdrp format version '" + magic + "' (expected " +
+          kDncRdrpMagic + ")");
+    }
+    return Status::InvalidArgument("bad magic '" + magic + "' (expected " +
+                                   kDncRdrpMagic + ")");
   }
   size_t num_arms = 0;
   if (!(in >> num_arms) || num_arms == 0 || num_arms > 1000) {
@@ -93,6 +109,14 @@ StatusOr<DivideAndConquerRdrp> DivideAndConquerRdrp::Load(
     StatusOr<RdrpModel> arm = RdrpModel::Load(
         in, ArmConfig(config, static_cast<int>(k) + 1));
     if (!arm.ok()) return arm.status();
+    StatusOr<std::unique_ptr<IntervalBackend>> backend =
+        LoadIntervalSection(in);
+    if (!backend.ok()) return backend.status();
+    if (Status status =
+            arm.value().AdoptIntervalBackend(std::move(backend).value());
+        !status.ok()) {
+      return status;
+    }
     model.models_.push_back(
         std::make_unique<RdrpModel>(std::move(arm).value()));
   }

@@ -43,9 +43,11 @@ class DivideAndConquerRdrp {
   const RdrpModel& arm_model(int arm) const;
   bool fitted() const { return !models_.empty(); }
 
-  /// Serializes all per-arm calibrated models ("roicl-dnc-rdrp-v1"): the
-  /// arm count followed by each arm's full RdrpModel stream, so a trained
-  /// K-arm estimator deploys without retraining. Requires fitted().
+  /// Serializes all per-arm calibrated models ("roicl-dnc-rdrp-v2"): the
+  /// arm count followed by each arm's RdrpModel stream and its interval
+  /// section (core::SaveIntervalSection), so a trained K-arm estimator
+  /// deploys without retraining and keeps every arm's backend. Requires
+  /// fitted().
   Status Save(std::ostream& out) const;
   /// Restores a model saved by Save(). `config` supplies the shared
   /// runtime knobs; per-arm seed derivation is reapplied so reloaded

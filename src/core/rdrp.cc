@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <utility>
 
 #include "common/macros.h"
-#include "core/conformal.h"
 #include "core/roi_star.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -122,51 +120,39 @@ void RdrpModel::FitWithCalibration(const RctDataset& train,
              {"mc_passes", config_.mc_passes}});
 }
 
-std::vector<double> RdrpModel::McStdDev(const Matrix& x) const {
-  McDropoutStats mc = drp_.PredictMcRoi(x, config_.mc_passes,
-                                        config_.mc_seed, config_.drp.predict);
-  for (double& s : mc.stddev) s = std::max(s, config_.std_floor);
-  return mc.stddev;
-}
-
-std::vector<double> RdrpModel::PredictRoi(const Matrix& x) const {
-  ROICL_CHECK_MSG(calibrated_, "PredictRoi() before FitWithCalibration()");
+ScoredRows RdrpModel::Score(const Matrix& x) const {
+  ROICL_CHECK_MSG(calibrated_, "Score() before FitWithCalibration()");
+  ROICL_CHECK_MSG(backend_ != nullptr,
+                  "Score() without an interval backend (load through the "
+                  "pipeline artifact or call AdoptIntervalBackend)");
   obs::ScopedSpan span("predict");
-  // Algorithm 4, lines 10-12.
-  std::vector<double> roi_hat = drp_.PredictRoi(x);
-  std::vector<double> r_hat = McStdDev(x);
-  // One load per predict call: a concurrent recalibration swap gives this
-  // whole batch either the old or the new quantile, never a mix.
+  // Algorithm 4, lines 10-12: one point forward and one MC sweep.
+  ScoredRows out;
+  out.roi_hat = drp_.PredictRoi(x);
+  out.r_hat = drp_.PredictMcRoi(x, config_.mc_passes, config_.mc_seed,
+                                config_.drp.predict)
+                  .stddev;
+  for (double& s : out.r_hat) s = std::max(s, config_.std_floor);
+  // One load per call: a concurrent recalibration swap gives this whole
+  // batch, points and intervals alike, either the old or the new
+  // quantile, never a mix.
   const double q_hat_snapshot = q_hat();
-  std::vector<double> rq(r_hat.size());
-  for (size_t i = 0; i < rq.size(); ++i) rq[i] = r_hat[i] * q_hat_snapshot;
-  return ApplyCalibrationForm(form_, roi_hat, rq);
-}
-
-std::vector<metrics::Interval> RdrpModel::PredictIntervals(
-    const Matrix& x) const {
-  ROICL_CHECK_MSG(calibrated_,
-                  "PredictIntervals() before FitWithCalibration()");
-  obs::ScopedSpan span("predict_intervals");
-  std::vector<double> roi_hat = drp_.PredictRoi(x);
-  std::vector<double> r_hat = McStdDev(x);
-  // One quantile snapshot for the whole batch (never-tearing swap
-  // contract), handed to the backend that shapes the intervals. A bare
-  // Load() outside the pipeline artifact has no backend and keeps the
-  // historical split arithmetic.
-  const double q_hat_snapshot = q_hat();
-  std::vector<metrics::Interval> intervals =
-      backend_ != nullptr
-          ? backend_->Intervals(x, roi_hat, r_hat, q_hat_snapshot)
-          : ConformalIntervals(roi_hat, r_hat, q_hat_snapshot,
-                               config_.std_floor);
+  {
+    std::vector<double> rq(out.r_hat.size());
+    for (size_t i = 0; i < rq.size(); ++i) {
+      rq[i] = out.r_hat[i] * q_hat_snapshot;
+    }
+    out.roi = ApplyCalibrationForm(form_, out.roi_hat, rq);
+  }
+  out.intervals = backend_->Intervals(x, out.roi_hat, out.r_hat,
+                                      q_hat_snapshot);
   if (config_.clip_to_unit) {
-    for (metrics::Interval& interval : intervals) {
+    for (metrics::Interval& interval : out.intervals) {
       interval.lo = std::max(interval.lo, 0.0);
       interval.hi = std::min(interval.hi, 1.0);
     }
   }
-  return intervals;
+  return out;
 }
 
 Status RdrpModel::Save(std::ostream& out) const {
@@ -176,12 +162,6 @@ Status RdrpModel::Save(std::ostream& out) const {
   out << q_hat() << ' ' << roi_star_global_ << ' '
       << static_cast<int>(form_) << '\n';
   return drp_.Save(out);
-}
-
-Status RdrpModel::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return Save(out);
 }
 
 StatusOr<RdrpModel> RdrpModel::Load(std::istream& in,
@@ -214,13 +194,6 @@ StatusOr<RdrpModel> RdrpModel::Load(std::istream& in,
   model.form_ = static_cast<CalibrationForm>(form);
   model.calibrated_ = true;
   return model;
-}
-
-StatusOr<RdrpModel> RdrpModel::LoadFromFile(const std::string& path,
-                                            const RdrpConfig& config) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return Load(in, config);
 }
 
 McCalibratedModel::McCalibratedModel(std::unique_ptr<DirectRoiModel> base,

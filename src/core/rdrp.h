@@ -47,6 +47,21 @@ struct RdrpConfig {
   /// produced bits, only throughput.
 };
 
+/// One scored batch of rDRP (Algorithm 4, lines 10-12): everything the
+/// single MC-dropout pass and the single q_hat snapshot yield, so callers
+/// needing more than the calibrated point never rerun the sweep.
+struct ScoredRows {
+  /// Calibrated points (Eq. 5) — the rDRP ranking score.
+  std::vector<double> roi;
+  /// Conformal intervals (Eq. 4), clipped to [0, 1] when configured.
+  /// Empty for point scorers.
+  std::vector<metrics::Interval> intervals;
+  /// Uncalibrated DRP points and floored MC stds: the Eq. (3) conformity
+  /// ingredients. Empty for point scorers.
+  std::vector<double> roi_hat;
+  std::vector<double> r_hat;
+};
+
 /// Robust Direct ROI Prediction (the paper's contribution, Algorithm 4).
 ///
 /// Pipeline: train DRP on the training set; on the calibration set obtain
@@ -72,24 +87,21 @@ class RdrpModel : public uplift::RoiModel {
   void FitWithCalibration(const RctDataset& train,
                           const RctDataset& calibration) override;
 
+  /// Scores a batch once: one DRP forward, one MC-dropout sweep and one
+  /// q_hat load feed both the calibrated points and the intervals.
+  /// Requires a calibrated model with an interval backend.
+  ScoredRows Score(const Matrix& x) const;
+
   /// Calibrated point estimates (the rDRP score used for ranking).
-  std::vector<double> PredictRoi(const Matrix& x) const override;
+  std::vector<double> PredictRoi(const Matrix& x) const override {
+    return Score(x).roi;
+  }
   std::string name() const override { return "rDRP"; }
 
   /// Rigorous conformal intervals C(x) with coverage >= 1 - alpha against
   /// the convergence-point target (Eq. 4).
-  std::vector<metrics::Interval> PredictIntervals(const Matrix& x) const;
-
-  /// Uncalibrated DRP point estimates (for ablations/diagnostics).
-  std::vector<double> PredictPointRoi(const Matrix& x) const {
-    return drp_.PredictRoi(x);
-  }
-
-  /// Floored MC-dropout stds r_hat(x) — the uncertainty scalar Eq. (3)
-  /// divides by. Exposed so the online recalibrator can recompute
-  /// conformal scores on a feedback window.
-  std::vector<double> PredictMcStd(const Matrix& x) const {
-    return McStdDev(x);
+  std::vector<metrics::Interval> PredictIntervals(const Matrix& x) const {
+    return Score(x).intervals;
   }
 
   const DrpModel& drp() const { return drp_; }
@@ -104,9 +116,8 @@ class RdrpModel : public uplift::RoiModel {
     drp_.set_predict_options(opts);
   }
 
-  /// The interval backend fitted alongside the model (nullptr only for a
-  /// bare Load() outside the pipeline artifact, where PredictIntervals
-  /// falls back to the split arithmetic). The backend holds
+  /// The interval backend fitted alongside the model (nullptr after a
+  /// bare Load() until AdoptIntervalBackend). The backend holds
   /// calibration-time state; the live swappable quantile is q_hat_.
   const IntervalBackend* interval_backend() const { return backend_.get(); }
 
@@ -117,28 +128,25 @@ class RdrpModel : public uplift::RoiModel {
 
   double q_hat() const { return q_hat_.load(std::memory_order_relaxed); }
   /// Atomically swaps the conformal quantile in place — the online
-  /// recalibration hook. A concurrent PredictRoi/PredictIntervals sees
-  /// either the old or the new value, never a torn mix: each predict call
-  /// loads q_hat exactly once. Requires a calibrated model and a finite,
-  /// non-negative quantile.
+  /// recalibration hook. A concurrent Score sees either the old or the
+  /// new value, never a torn mix: each Score call loads q_hat exactly
+  /// once. Requires a calibrated model and a finite, non-negative
+  /// quantile.
   void set_q_hat(double q_hat);
   double roi_star() const { return roi_star_global_; }
   CalibrationForm selected_form() const { return form_; }
   bool calibrated() const { return calibrated_; }
 
-  /// Serializes the full calibrated pipeline — the DRP network, the
-  /// conformal quantile q_hat, roi*, and the selected form — so the
-  /// deployed service only loads and predicts. Requires calibrated().
+  /// Serializes the calibrated model — the DRP network, the conformal
+  /// quantile q_hat, roi*, and the selected form. The interval backend
+  /// travels separately (core::SaveIntervalSection), so a loaded model
+  /// scores only once AdoptIntervalBackend has installed it. Requires
+  /// calibrated().
   Status Save(std::ostream& out) const;
-  Status SaveToFile(const std::string& path) const;
   static StatusOr<RdrpModel> Load(std::istream& in,
                                   const RdrpConfig& config = RdrpConfig());
-  static StatusOr<RdrpModel> LoadFromFile(
-      const std::string& path, const RdrpConfig& config = RdrpConfig());
 
  private:
-  std::vector<double> McStdDev(const Matrix& x) const;
-
   RdrpConfig config_;
   DrpModel drp_;
   bool calibrated_ = false;

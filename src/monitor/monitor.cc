@@ -73,13 +73,13 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
   }
 
   obs::ScopedSpan span("monitor.from_calibration");
-  // Recompute the calibration-time conformity ingredients through the
-  // pipeline: the uncalibrated points, the MC stds, the backend's aux
-  // channels, roi*, and from them the conformity scores that anchor both
-  // the score-drift channel and the label-free recalibration fallback.
-  StatusOr<pipeline::RoiScorer::ConformalInputs> inputs =
-      pipeline->ConformalScoreInputs(calibration.x);
-  if (!inputs.ok()) return inputs.status();
+  // Recompute the calibration-time conformity ingredients through one
+  // pipeline scoring call: the served points, the uncalibrated points,
+  // the MC stds; then the backend's aux channels, roi*, and from them the
+  // conformity scores that anchor both the score-drift channel and the
+  // label-free recalibration fallback.
+  StatusOr<core::ScoredRows> rows = pipeline->ScoreRows(calibration.x);
+  if (!rows.ok()) return rows.status();
   std::vector<double> aux_lo;
   std::vector<double> aux_hi;
   if (Status status = backend->StreamAux(calibration.x, &aux_lo, &aux_hi);
@@ -92,11 +92,9 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
   calibration_scores.reserve(AsSize(calibration.n()));
   for (int i = 0; i < calibration.n(); ++i) {
     calibration_scores.push_back(backend->StreamScore(
-        inputs.value().roi_hat[AsSize(i)], inputs.value().r_hat[AsSize(i)],
+        rows.value().roi_hat[AsSize(i)], rows.value().r_hat[AsSize(i)],
         roi_star, aux_lo[AsSize(i)], aux_hi[AsSize(i)]));
   }
-  StatusOr<std::vector<double>> served = pipeline->Score(calibration.x);
-  if (!served.ok()) return served.status();
 
   DriftDetector detector(options.thresholds);
   std::vector<int> feature_channels;
@@ -110,7 +108,7 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
   }
   int score_channel = detector.AddChannel(
       "served_score", ReferenceDistribution::FromSamples(
-                          served.value(), options.drift_bins));
+                          rows.value().roi, options.drift_bins));
   int conformal_channel = detector.AddChannel(
       "conformal_score", ReferenceDistribution::FromSamples(
                              calibration_scores, options.drift_bins));
@@ -270,22 +268,27 @@ void ServingMonitor::EvaluateWindowLocked() {
 
 Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
   if (feedback.n() == 0) return Status::Ok();
-  MutexLock lock(mu_);
   obs::ScopedSpan span("monitor.add_outcomes");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
 
-  // One MC sweep over the feedback rows gives the conformity
+  // One scoring call over the feedback rows gives the conformity
   // ingredients; they are cached on each window sample so recalibration
-  // replays them without touching the feature matrix again.
-  StatusOr<pipeline::RoiScorer::ConformalInputs> inputs =
-      pipeline_->ConformalScoreInputs(feedback.x);
-  if (!inputs.ok()) return inputs.status();
+  // replays them without touching the feature matrix again. Neither the
+  // ingredients nor the aux channels depend on q_hat, and pipeline_ /
+  // backend_ are immutable, so this sweep runs before taking mu_ and
+  // never stalls the dispatcher's ObserveScored.
+  StatusOr<core::ScoredRows> rows = pipeline_->ScoreRows(feedback.x);
+  if (!rows.ok()) return rows.status();
+  const std::vector<double>& roi_hat = rows.value().roi_hat;
+  const std::vector<double>& r_hat = rows.value().r_hat;
   std::vector<double> aux_lo;
   std::vector<double> aux_hi;
   if (Status status = backend_->StreamAux(feedback.x, &aux_lo, &aux_hi);
       !status.ok()) {
     return status;
   }
+
+  MutexLock lock(mu_);
   StatusOr<double> q_hat = pipeline_->conformal_quantile();
   if (!q_hat.ok()) return q_hat.status();
 
@@ -295,8 +298,8 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
     sample.treatment = feedback.treatment[AsSize(i)];
     sample.y_revenue = feedback.y_revenue[AsSize(i)];
     sample.y_cost = feedback.y_cost[AsSize(i)];
-    sample.roi_hat = inputs.value().roi_hat[AsSize(i)];
-    sample.r_hat = inputs.value().r_hat[AsSize(i)];
+    sample.roi_hat = roi_hat[AsSize(i)];
+    sample.r_hat = r_hat[AsSize(i)];
     sample.aux_lo = aux_lo[AsSize(i)];
     sample.aux_hi = aux_hi[AsSize(i)];
     recalibrator_.AddOutcome(std::move(sample));
@@ -316,9 +319,10 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
   std::vector<double> scores;
   scores.reserve(AsSize(feedback.n()));
   for (int i = 0; i < feedback.n(); ++i) {
-    scores.push_back(backend_->StreamScore(
-        inputs.value().roi_hat[AsSize(i)], inputs.value().r_hat[AsSize(i)],
-        roi_star, aux_lo[AsSize(i)], aux_hi[AsSize(i)]));
+    scores.push_back(backend_->StreamScore(roi_hat[AsSize(i)],
+                                           r_hat[AsSize(i)], roi_star,
+                                           aux_lo[AsSize(i)],
+                                           aux_hi[AsSize(i)]));
   }
 
   // Feed the conformal-score drift channel (feedback stream is sparse;

@@ -62,9 +62,10 @@ struct MonitorOptions {
   nn::BatchOptions engine;
 };
 
-/// See file comment. Thread-safe: all entry points serialize on one
-/// mutex, so the service dispatcher thread, the feedback thread, and an
-/// operator thread calling MaybeRecalibrate may interleave freely.
+/// See file comment. Thread-safe: all entry points serialize their state
+/// updates on one mutex, so the service dispatcher thread, the feedback
+/// thread, and an operator thread calling MaybeRecalibrate may interleave
+/// freely.
 class ServingMonitor {
  public:
   /// Captures reference distributions from the calibration set: one
@@ -106,9 +107,9 @@ class ServingMonitor {
 
   /// Ingests labeled feedback: extends the recalibration window, updates
   /// the conformal-score drift channel, the coverage ring, and the ACI
-  /// state. One MC sweep over `feedback.x` computes the conformity
-  /// ingredients, which are cached per sample so recalibration itself
-  /// never re-sweeps the window.
+  /// state. One scoring call over `feedback.x` computes the conformity
+  /// ingredients before the lock is taken; they are cached per sample so
+  /// recalibration itself never re-sweeps the window.
   Status AddOutcomes(const RctDataset& feedback) ROICL_EXCLUDES(mu_);
 
   /// Recalibrates and swaps q_hat when a drift trigger is latched or the

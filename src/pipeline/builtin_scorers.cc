@@ -158,12 +158,11 @@ class RdrpScorer : public RoiScorer {
   }
 
   bool has_intervals() const override { return true; }
-  StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
-      const Matrix& x) const override {
+  StatusOr<core::ScoredRows> ScoreRows(const Matrix& x) const override {
     if (!model_.calibrated()) {
       return Status::FailedPrecondition("scorer not calibrated");
     }
-    return model_.PredictIntervals(x);
+    return model_.Score(x);
   }
 
   bool has_conformal_quantile() const override { return true; }
@@ -184,17 +183,6 @@ class RdrpScorer : public RoiScorer {
     model_.set_q_hat(q_hat);
     return Status::Ok();
   }
-  StatusOr<ConformalInputs> ConformalScoreInputs(
-      const Matrix& x) const override {
-    if (!model_.calibrated()) {
-      return Status::FailedPrecondition("scorer not calibrated");
-    }
-    ConformalInputs inputs;
-    inputs.roi_hat = model_.PredictPointRoi(x);
-    inputs.r_hat = model_.PredictMcStd(x);
-    return inputs;
-  }
-
   const core::IntervalBackend* interval_backend() const override {
     return model_.interval_backend();
   }

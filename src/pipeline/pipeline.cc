@@ -61,48 +61,41 @@ StatusOr<Pipeline> Pipeline::Train(const std::string& scorer_name,
   return pipeline;
 }
 
+Status Pipeline::CheckFeatureDim(const Matrix& x) const {
+  if (x.cols() == feature_dim_) return Status::Ok();
+  return Status::InvalidArgument(
+      "feature dimension mismatch: pipeline expects " +
+      std::to_string(feature_dim_) + " features but input has " +
+      std::to_string(x.cols()));
+}
+
+StatusOr<core::ScoredRows> Pipeline::ScoreRows(const Matrix& x) const {
+  if (Status status = CheckFeatureDim(x); !status.ok()) return status;
+  return scorer_->ScoreRows(x);
+}
+
 StatusOr<std::vector<double>> Pipeline::Score(const Matrix& x) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
+  StatusOr<core::ScoredRows> rows = ScoreRows(x);
+  if (!rows.ok()) return rows.status();
+  return std::move(rows.value().roi);
+}
+
+StatusOr<std::vector<metrics::Interval>> Pipeline::ScoreIntervals(
+    const Matrix& x) const {
+  if (!scorer_->has_intervals()) {
+    return Status::FailedPrecondition(
+        "scorer does not produce conformal intervals");
   }
-  return scorer_->PredictRoi(x);
+  StatusOr<core::ScoredRows> rows = ScoreRows(x);
+  if (!rows.ok()) return rows.status();
+  return std::move(rows.value().intervals);
 }
 
 StatusOr<core::McDropoutStats> Pipeline::ScoreMc(const Matrix& x,
                                                  int passes,
                                                  uint64_t seed) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
-  }
+  if (Status status = CheckFeatureDim(x); !status.ok()) return status;
   return scorer_->ScoreMc(x, passes, seed);
-}
-
-StatusOr<std::vector<metrics::Interval>> Pipeline::ScoreIntervals(
-    const Matrix& x) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
-  }
-  return scorer_->ScoreIntervals(x);
-}
-
-StatusOr<RoiScorer::ConformalInputs> Pipeline::ConformalScoreInputs(
-    const Matrix& x) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
-  }
-  return scorer_->ConformalScoreInputs(x);
 }
 
 Status Pipeline::RebindIntervalBackend(const std::string& name,
@@ -126,22 +119,18 @@ Status Pipeline::RebindIntervalBackend(const std::string& name,
     // original backend (point estimates, MC stds, the Algorithm-2
     // convergence point), so rebinding on the training-time calibration
     // set reproduces the would-have-been-trained backend exactly.
-    StatusOr<RoiScorer::ConformalInputs> inputs =
-        ConformalScoreInputs(calibration->x);
-    if (!inputs.ok()) return inputs.status();
+    StatusOr<core::ScoredRows> rows = ScoreRows(calibration->x);
+    if (!rows.ok()) return rows.status();
     double roi_star =
         core::BinarySearchRoiStar(*calibration, core::RdrpConfig().epsilon);
-    std::vector<double> roi_star_vec(inputs.value().roi_hat.size(),
-                                     roi_star);
+    std::vector<double> roi_star_vec(rows.value().roi_hat.size(), roi_star);
     if (Status status = target->Calibrate(
-            calibration->x, inputs.value().roi_hat, inputs.value().r_hat,
+            calibration->x, rows.value().roi_hat, rows.value().r_hat,
             roi_star_vec, hp_.alpha, core::kDefaultStdFloor);
         !status.ok()) {
       return status;
     }
-    StatusOr<std::vector<double>> served = Score(calibration->x);
-    if (!served.ok()) return served.status();
-    target->SetWeightReference(std::move(served).value());
+    target->SetWeightReference(std::move(rows.value().roi));
   } else {
     // Stateless conversion from the persisted calibration state; only
     // legal between backends sharing Eq.(3) score semantics.
@@ -172,12 +161,10 @@ Status Pipeline::Save(std::ostream& out) const {
   out << "provenance.git " << provenance_.git_describe << '\n';
   out << "provenance.tool " << provenance_.tool << '\n';
   out << "hyperparams " << SerializeHyperparams(hp_) << '\n';
-  const core::IntervalBackend* backend = scorer_->interval_backend();
-  if (backend != nullptr) {
-    out << "interval_backend " << backend->name() << '\n';
-    if (Status status = backend->Save(out); !status.ok()) return status;
-  } else {
-    out << "interval_backend none\n";
+  if (Status status =
+          core::SaveIntervalSection(out, scorer_->interval_backend());
+      !status.ok()) {
+    return status;
   }
   out << "model\n";
   if (Status status = scorer_->SaveModel(out); !status.ok()) return status;
@@ -244,27 +231,18 @@ StatusOr<Pipeline> Pipeline::Load(std::istream& in) {
   }
   StatusOr<Hyperparams> hp = ParseHyperparams(hp_line);
   if (!hp.ok()) return hp.status();
-  std::string backend_name;
-  if (!ReadKeyedLine(in, "interval_backend", &backend_name) ||
-      backend_name.empty()) {
+  StatusOr<std::unique_ptr<core::IntervalBackend>> section =
+      core::LoadIntervalSection(in);
+  if (!section.ok()) return section.status();
+  std::unique_ptr<core::IntervalBackend> backend = std::move(section).value();
+  // The hyperparam knob and the persisted section must agree, or the
+  // artifact was stitched together from mismatched halves.
+  if (backend != nullptr &&
+      hp.value().interval_backend != backend->name()) {
     return Status::InvalidArgument(
-        "missing interval_backend section in manifest");
-  }
-  std::unique_ptr<core::IntervalBackend> backend;
-  if (backend_name != "none") {
-    StatusOr<std::unique_ptr<core::IntervalBackend>> made =
-        core::MakeIntervalBackend(backend_name);
-    if (!made.ok()) return made.status();
-    backend = std::move(made).value();
-    if (Status status = backend->Load(in); !status.ok()) return status;
-    // The hyperparam knob and the persisted section must agree, or the
-    // artifact was stitched together from mismatched halves.
-    if (hp.value().interval_backend != backend_name) {
-      return Status::InvalidArgument(
-          "manifest hyperparams say interval_backend=" +
-          hp.value().interval_backend + " but the interval section is '" +
-          backend_name + "'");
-    }
+        "manifest hyperparams say interval_backend=" +
+        hp.value().interval_backend + " but the interval section is '" +
+        backend->name() + "'");
   }
   std::string marker;
   if (!(in >> marker) || marker != "model") {

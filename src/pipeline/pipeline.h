@@ -46,21 +46,26 @@ class Pipeline {
                                   const RctDataset* calibration,
                                   Provenance provenance);
 
-  /// Point ROI scores. Rejects a feature-dimension mismatch with a
-  /// descriptive error instead of crashing.
+  /// Scores a batch once through the scorer: points, and for conformal
+  /// scorers intervals plus Eq. (3) ingredients from a single MC sweep.
+  /// Rejects a feature-dimension mismatch with a descriptive error
+  /// instead of crashing.
+  StatusOr<core::ScoredRows> ScoreRows(const Matrix& x) const;
+
+  /// Point ROI scores (the `roi` projection of ScoreRows).
   StatusOr<std::vector<double>> Score(const Matrix& x) const;
+
+  /// Conformal intervals (the `intervals` projection of ScoreRows);
+  /// FailedPrecondition for scorers without intervals.
+  StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
+      const Matrix& x) const;
 
   /// MC-dropout uncertainty via the scorer (when supported).
   StatusOr<core::McDropoutStats> ScoreMc(const Matrix& x, int passes,
                                          uint64_t seed) const;
 
-  /// Conformal intervals via the scorer (when supported).
-  StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
-      const Matrix& x) const;
-
   /// Conformal-quantile plumbing for the online recalibrator (rDRP
-  /// only): read / atomically swap q_hat, and recompute Eq. (3) score
-  /// ingredients on a feedback window. All forward to the scorer.
+  /// only): read / atomically swap q_hat. Both forward to the scorer.
   bool has_conformal_quantile() const {
     return scorer_->has_conformal_quantile();
   }
@@ -70,9 +75,6 @@ class Pipeline {
   Status SetConformalQuantile(double q_hat) {
     return scorer_->SetConformalQuantile(q_hat);
   }
-  StatusOr<RoiScorer::ConformalInputs> ConformalScoreInputs(
-      const Matrix& x) const;
-
   /// The interval backend behind this pipeline's conformal intervals
   /// (nullptr for point scorers without interval state).
   const core::IntervalBackend* interval_backend() const {
@@ -114,6 +116,9 @@ class Pipeline {
 
  private:
   Pipeline() = default;
+
+  /// InvalidArgument unless `x` has feature_dim() columns.
+  Status CheckFeatureDim(const Matrix& x) const;
 
   std::string scorer_name_;
   int feature_dim_ = -1;

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/direct_model.h"
 #include "core/interval_backend.h"
+#include "core/rdrp.h"
 #include "metrics/coverage.h"
 #include "nn/batch_forward.h"
 #include "uplift/roi_model.h"
@@ -18,7 +19,7 @@ namespace roicl::pipeline {
 /// The polymorphic scoring interface every benchmark method is served
 /// through: a point ROI estimate (inherited from uplift::RoiModel), plus
 /// two optional capabilities — MC-dropout uncertainty and conformal
-/// intervals — and serialization hooks so a fitted scorer can travel
+/// intervals (both out of one ScoreRows call) — and serialization hooks so a fitted scorer can travel
 /// inside a Pipeline artifact.
 ///
 /// Capability discovery is explicit (`has_mc_uncertainty()` /
@@ -40,14 +41,18 @@ class RoiScorer : public uplift::RoiModel {
         "scorer does not support MC-dropout uncertainty");
   }
 
-  /// True when ScoreIntervals is implemented (conformal methods only).
+  /// True when ScoreRows also fills intervals and the Eq. (3) conformity
+  /// ingredients (conformal methods only).
   virtual bool has_intervals() const { return false; }
 
-  /// Conformal intervals with coverage >= 1 - alpha (rDRP's Eq. 4).
-  virtual StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
-      const Matrix& /*x*/) const {
-    return Status::FailedPrecondition(
-        "scorer does not produce conformal intervals");
+  /// Scores a batch once. Point scorers fill only `roi`; conformal
+  /// scorers (rDRP) also fill the intervals (Eq. 4) and the uncalibrated
+  /// point roi_hat plus the floored MC std r_hat, all from one MC-dropout
+  /// sweep and one q_hat snapshot.
+  virtual StatusOr<core::ScoredRows> ScoreRows(const Matrix& x) const {
+    core::ScoredRows rows;
+    rows.roi = PredictRoi(x);
+    return rows;
   }
 
   /// True when the scorer carries a swappable conformal quantile q_hat
@@ -61,23 +66,9 @@ class RoiScorer : public uplift::RoiModel {
   }
 
   /// Atomically swaps the conformal quantile — the online-recalibration
-  /// hook. Concurrent Score/ScoreIntervals calls see either the old or
-  /// the new value, never a torn mix.
+  /// hook. Concurrent ScoreRows calls see either the old or the new
+  /// value, never a torn mix.
   virtual Status SetConformalQuantile(double /*q_hat*/) {
-    return Status::FailedPrecondition(
-        "scorer does not carry a conformal quantile");
-  }
-
-  /// The Eq. (3) score ingredients on fresh rows: the *uncalibrated*
-  /// point estimate roi_hat and the floored MC std r_hat, so a feedback
-  /// window can recompute conformal scores |roi* - roi_hat| / r_hat
-  /// exactly as calibration did. Requires has_conformal_quantile().
-  struct ConformalInputs {
-    std::vector<double> roi_hat;
-    std::vector<double> r_hat;
-  };
-  virtual StatusOr<ConformalInputs> ConformalScoreInputs(
-      const Matrix& /*x*/) const {
     return Status::FailedPrecondition(
         "scorer does not carry a conformal quantile");
   }

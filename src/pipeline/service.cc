@@ -149,10 +149,16 @@ void ScoringService::Loop() {
   obs::TraceCollector& collector = obs::TraceCollector::Global();
   const ExemplarSampler sampler{options_.exemplar_seed,
                                 options_.exemplar_rate};
-  // Shadow conformal-interval cadence; disarmed permanently on the first
-  // "scorer doesn't support intervals" error instead of failing per tick.
+  // Shadow conformal-interval cadence; a scorer without intervals never
+  // arms it.
   uint64_t shadow_tick = 0;
-  bool shadow_armed = options_.shadow_interval_every > 0;
+  const bool shadow_armed = options_.shadow_interval_every > 0 &&
+                            pipeline_.scorer().has_intervals();
+  if (options_.shadow_interval_every > 0 && !shadow_armed) {
+    obs::Warn("shadow interval stage disarmed",
+              {{"reason", "scorer '" + pipeline_.scorer_name() +
+                              "' does not produce conformal intervals"}});
+  }
 
   for (;;) {
     std::vector<Request> batch;
@@ -210,36 +216,33 @@ void ScoringService::Loop() {
             "us"));
         continue;
       }
-      StatusOr<std::vector<double>> result = [&] {
+      StatusOr<core::ScoredRows> rows = [&] {
         obs::ScopedSpan score_span("serve.score", trace_tag);
-        return pipeline_.Score(request.x);
+        return pipeline_.ScoreRows(request.x);
       }();
       const uint64_t scored = obs::MonotonicMicros();
       const uint64_t score_us = scored - dequeued;
       ObserveStage(stage_score, static_cast<double>(score_us), sampled,
                    request.trace_id);
-      if (!result.ok()) {
+      if (!rows.ok()) {
         errors->Increment();
       } else {
+        // The one scoring call above already produced the intervals; the
+        // shadow stage only summarizes them.
+        const std::vector<metrics::Interval>& intervals =
+            rows.value().intervals;
         if (shadow_armed &&
             ++shadow_tick %
                     static_cast<uint64_t>(options_.shadow_interval_every) ==
-                0) {
+                0 &&
+            !intervals.empty()) {
           obs::ScopedSpan conformal_span("serve.conformal", trace_tag);
-          StatusOr<std::vector<metrics::Interval>> intervals =
-              pipeline_.ScoreIntervals(request.x);
-          if (intervals.ok() && !intervals.value().empty()) {
-            double width_sum = 0.0;
-            for (const metrics::Interval& iv : intervals.value()) {
-              width_sum += iv.width();
-            }
-            interval_width->Set(
-                width_sum / static_cast<double>(intervals.value().size()));
-          } else if (!intervals.ok()) {
-            shadow_armed = false;
-            obs::Warn("shadow interval stage disarmed",
-                      {{"reason", intervals.status().message()}});
+          double width_sum = 0.0;
+          for (const metrics::Interval& iv : intervals) {
+            width_sum += iv.width();
           }
+          interval_width->Set(width_sum /
+                              static_cast<double>(intervals.size()));
           ObserveStage(stage_conformal,
                        static_cast<double>(obs::MonotonicMicros() - scored),
                        sampled, request.trace_id);
@@ -252,7 +255,7 @@ void ScoringService::Loop() {
           ctx.queue_us = queue_us;
           ctx.score_us = score_us;
           ctx.exemplar = sampled;
-          options_.on_scored(ctx, request.x, result.value());
+          options_.on_scored(ctx, request.x, rows.value().roi);
           ObserveStage(
               stage_observe,
               static_cast<double>(obs::MonotonicMicros() - observe_start),
@@ -272,7 +275,11 @@ void ScoringService::Loop() {
         MutexLock lock(mu_);
         ++served_;
       }
-      request.promise.set_value(std::move(result));
+      if (rows.ok()) {
+        request.promise.set_value(std::move(rows.value().roi));
+      } else {
+        request.promise.set_value(rows.status());
+      }
     }
   }
 }

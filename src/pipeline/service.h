@@ -61,11 +61,12 @@ struct ServiceOptions {
   /// to the stage latency buckets they land in (see ExemplarSampler).
   uint64_t exemplar_seed = 17;
   double exemplar_rate = 0.05;
-  /// Shadow conformal-interval stage: every Nth scored request also runs
-  /// ScoreIntervals under serve.stage.conformal_us and publishes the mean
-  /// interval width to the serve.interval_width gauge. 0 disables. The
-  /// response API is unchanged — this prices the conformal stage and
-  /// surfaces width drift without making every request pay for it.
+  /// Shadow conformal-interval stage: every Nth scored request publishes
+  /// the mean width of the intervals its one ScoreRows call produced to
+  /// the serve.interval_width gauge, timed under serve.stage.conformal_us.
+  /// 0 disables; scorers without intervals never arm it. The response
+  /// API is unchanged — this surfaces width drift without a second
+  /// scoring pass.
   int shadow_interval_every = 0;
   /// Called on the dispatcher thread after every successfully scored
   /// request, with the request's context (trace ID, stage timings), its

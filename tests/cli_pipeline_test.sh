@@ -165,12 +165,6 @@ if $CLI serve --pipeline $WORK/drp.pipe --data $WORK/calib.csv \
     --out $WORK/x.csv --request-rows 0; then
   echo "expected failure for bad --request-rows"; exit 1
 fi
-# A pipeline artifact is refused by the raw-blob loader with a clear
-# error (and vice versa the manifest guards catch raw blobs).
-if $CLI evaluate --model-type drp --model $WORK/drp.pipe \
-    --data $WORK/test.csv; then
-  echo "expected failure for pipeline fed to raw loader"; exit 1
-fi
 
 # `roicl methods` lists the registry (used by docs and scripts).
 $CLI methods | grep -qx "rDRP"

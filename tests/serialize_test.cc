@@ -1,7 +1,9 @@
 #include "nn/serialize.h"
 
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/drp_model.h"
+#include "core/interval_backend.h"
 #include "core/rdrp.h"
 #include "synth/synthetic_generator.h"
 
@@ -119,12 +122,24 @@ TEST_F(ModelSerializeTest, RdrpRoundTripKeepsCalibration) {
   core::RdrpModel model(config);
   model.FitWithCalibration(*train_, *calib_);
 
+  // The model blob and its interval section travel together, exactly as
+  // in the pipeline artifact and the dnc-rdrp stream.
   std::string path = ::testing::TempDir() + "/roicl_rdrp.txt";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  StatusOr<core::RdrpModel> loaded =
-      core::RdrpModel::LoadFromFile(path, config);
-  std::remove(path.c_str());
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(model.Save(out).ok());
+    ASSERT_TRUE(
+        core::SaveIntervalSection(out, model.interval_backend()).ok());
+  }
+  std::ifstream in(path);
+  StatusOr<core::RdrpModel> loaded = core::RdrpModel::Load(in, config);
   ASSERT_TRUE(loaded.ok());
+  StatusOr<std::unique_ptr<core::IntervalBackend>> backend =
+      core::LoadIntervalSection(in);
+  std::remove(path.c_str());
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  ASSERT_TRUE(
+      loaded.value().AdoptIntervalBackend(std::move(backend).value()).ok());
 
   EXPECT_DOUBLE_EQ(loaded.value().q_hat(), model.q_hat());
   EXPECT_DOUBLE_EQ(loaded.value().roi_star(), model.roi_star());

@@ -1,6 +1,7 @@
 #include "synth/synthetic_generator.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,15 @@
 #include "synth/shift.h"
 
 namespace roicl::synth {
+
+// Print a preset by its name. gtest's fallback byte dump would include the
+// heap address of `name`, and gtest_discover_tests copies the printed
+// parameter into each ctest name, so those names changed on every build.
+// Declared in roicl::synth (not the unnamed namespace) so ADL finds it.
+static void PrintTo(const SyntheticConfig& config, std::ostream* os) {
+  *os << config.name;
+}
+
 namespace {
 
 class PresetTest : public ::testing::TestWithParam<SyntheticConfig> {};

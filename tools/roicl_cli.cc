@@ -3,17 +3,16 @@
 // Subcommands:
 //   generate  synthesize an RCT dataset to CSV
 //   methods   list every method registered with the scorer registry
-//   train     fit any registered method on CSV data; save a raw model
-//             blob (--out) and/or a versioned pipeline artifact
-//             (--save-pipeline)
-//   predict   score a CSV with a saved model or pipeline (ROI and, for
+//   train     fit any registered method on CSV data and save a
+//             versioned pipeline artifact (--save-pipeline)
+//   predict   score a CSV with a pipeline artifact (ROI and, for
 //             conformal methods, interval bounds)
 //   score     score a CSV with a pipeline artifact (pipeline-only
 //             spelling of predict, for train-once/serve-many flows)
 //   serve     run a long-lived ScoringService over a pipeline artifact
 //             and push a CSV through it as micro-batched requests
-//   evaluate  AUCC / Qini of a saved model on labelled CSV data
-//   allocate  greedy C-BTAP budget allocation with a saved model
+//   evaluate  AUCC / Qini of a pipeline artifact on labelled CSV data
+//   allocate  greedy C-BTAP budget allocation with a pipeline artifact
 //   monitor-replay
 //             stream a labelled CSV through a live ScoringService with
 //             covariate shift injected mid-stream; the ServingMonitor
@@ -45,11 +44,6 @@
 //   roicl evaluate --pipeline m.pipeline --data test.csv
 //   roicl monitor-replay --pipeline m.pipeline --calib calib.csv
 //       --data test.csv --shift-at 20 --shift-gamma 2.5
-//
-// Legacy spellings stay supported: `train --model rdrp ... --out m.rdrp`
-// writes a raw model blob, and predict/evaluate/allocate accept
-// `--model-type rdrp --model m.rdrp` (resolved through the same
-// registry, so any registered name works, case-insensitively).
 //
 // Observability flags (all subcommands):
 //   --log-level LEVEL   debug|info|warn|error|off (default info; the
@@ -210,17 +204,16 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
   static const std::map<std::string, std::set<std::string>> kPerCommand = {
       {"generate", {"dataset", "n", "seed", "shifted", "out"}},
       {"methods", {}},
-      {"train", {"method", "model", "train", "calib", "save-pipeline",
-                 "out"}},
-      {"predict", {"pipeline", "model-type", "model", "data", "out"}},
+      {"train", {"method", "train", "calib", "save-pipeline"}},
+      {"predict", {"pipeline", "data", "out", "interval-backend"}},
       {"score", {"pipeline", "data", "out", "interval-backend"}},
       {"serve", {"pipeline", "data", "out", "max-batch", "max-queue",
                  "deadline-micros", "request-rows", "interval-backend"}},
-      {"evaluate", {"pipeline", "model-type", "model", "data"}},
+      {"evaluate", {"pipeline", "data", "interval-backend"}},
       {"allocate",
-       {"pipeline", "model-type", "model", "data", "budget-frac",
-        "streaming", "mode", "shards", "memory-cap-mb", "chunk-rows",
-        "synthetic-rows"}},
+       {"pipeline", "data", "budget-frac", "streaming", "mode", "shards",
+        "memory-cap-mb", "chunk-rows", "synthetic-rows", "seed",
+        "interval-backend"}},
       {"campaign",
        {"dataset", "arms", "arm-budgets", "budget-frac", "mode", "scorer",
         "n-train", "n-calib", "n-test", "shards", "memory-cap-mb"}},
@@ -237,10 +230,10 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
         "feedback-rows", "seed", "max-batch", "max-queue", "window-rows",
         "exemplar-rate", "exemplar-seed", "shadow-interval-every"}},
   };
-  static const std::set<std::string> kHyperCommands = {
-      "train", "predict", "evaluate", "allocate", "campaign"};
+  static const std::set<std::string> kHyperCommands = {"train", "campaign"};
   static const std::set<std::string> kEngineCommands = {
-      "score", "serve", "monitor-replay", "load-replay"};
+      "predict", "score", "serve", "evaluate", "allocate", "monitor-replay",
+      "load-replay"};
   auto it = kPerCommand.find(command);
   if (it == kPerCommand.end()) return;
   for (const std::string& key : flags.Keys()) {
@@ -627,17 +620,8 @@ int CmdMethods(const Flags& /*flags*/) {
 }
 
 int CmdTrain(const Flags& flags) {
-  // --method is the canonical spelling; --model is the legacy alias.
-  std::string method =
-      ResolveMethodOrDie(flags.Get("method", flags.Get("model", "rdrp")));
-  bool save_pipeline = flags.Has("save-pipeline");
-  bool save_raw = flags.Has("out");
-  if (!save_pipeline && !save_raw) {
-    std::fprintf(stderr,
-                 "train needs --save-pipeline PATH (versioned artifact) "
-                 "and/or --out PATH (raw model blob)\n");
-    return 2;
-  }
+  std::string method = ResolveMethodOrDie(flags.Get("method", "rdrp"));
+  std::string path = flags.Require("save-pipeline");
   RctDataset train = LoadCsvOrDie(flags.Require("train"));
   RctDataset calib;
   const RctDataset* calib_ptr = nullptr;
@@ -663,101 +647,33 @@ int CmdTrain(const Flags& flags) {
     std::fprintf(stderr, "%s\n", trained.status().ToString().c_str());
     return 1;
   }
-  pipeline::Pipeline pipeline = std::move(trained).value();
-
-  if (save_pipeline) {
-    std::string path = flags.Get("save-pipeline");
-    Status status = pipeline.SaveToFile(path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("trained %s on %d samples -> pipeline %s\n",
-                method.c_str(), train.n(), path.c_str());
+  Status status = trained.value().SaveToFile(path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
   }
-  if (save_raw) {
-    std::string path = flags.Get("out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    Status status = pipeline.scorer().SaveModel(out);
-    if (!status.ok() || !out) {
-      std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("trained %s on %d samples -> %s\n", method.c_str(),
-                train.n(), path.c_str());
-  }
+  std::printf("trained %s on %d samples -> pipeline %s\n", method.c_str(),
+              train.n(), path.c_str());
   return 0;
 }
 
-/// Scores from either a pipeline artifact (--pipeline) or a raw model
-/// blob (--model-type NAME --model PATH); intervals are filled when the
-/// scorer supports them.
+/// Points, and intervals when the scorer supports them, from one
+/// scoring call on the --pipeline artifact.
 struct ScoredBatch {
   std::vector<double> scores;
   std::vector<metrics::Interval> intervals;  // empty for point methods
 };
 
 ScoredBatch ScoreWithModel(const Flags& flags, const Matrix& x) {
-  ScoredBatch out;
-  if (flags.Has("pipeline")) {
-    pipeline::Pipeline loaded = LoadPipelineOrDie(flags.Get("pipeline"));
-    MaybeRebindBackendOrDie(flags, &loaded);
-    loaded.set_batch_options(BatchOptionsFromFlags(flags));
-    StatusOr<std::vector<double>> scores = loaded.Score(x);
-    if (!scores.ok()) {
-      std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.scores = std::move(scores).value();
-    if (loaded.scorer().has_intervals()) {
-      StatusOr<std::vector<metrics::Interval>> intervals =
-          loaded.ScoreIntervals(x);
-      if (!intervals.ok()) {
-        std::fprintf(stderr, "%s\n",
-                     intervals.status().ToString().c_str());
-        std::exit(1);
-      }
-      out.intervals = std::move(intervals).value();
-    }
-    return out;
-  }
-
-  std::string method = ResolveMethodOrDie(flags.Get("model-type", "rdrp"));
-  std::string path = flags.Require("model");
-  StatusOr<std::unique_ptr<pipeline::RoiScorer>> created =
-      pipeline::ScorerRegistry::Global().Create(
-          method, HyperparamsFromFlags(flags));
-  if (!created.ok()) {
-    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+  pipeline::Pipeline loaded = LoadPipelineOrDie(flags.Require("pipeline"));
+  MaybeRebindBackendOrDie(flags, &loaded);
+  loaded.set_batch_options(BatchOptionsFromFlags(flags));
+  StatusOr<core::ScoredRows> rows = loaded.ScoreRows(x);
+  if (!rows.ok()) {
+    std::fprintf(stderr, "%s\n", rows.status().ToString().c_str());
     std::exit(1);
   }
-  std::unique_ptr<pipeline::RoiScorer> scorer = std::move(created).value();
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open model file %s\n", path.c_str());
-    std::exit(1);
-  }
-  if (Status status = scorer->LoadModel(in); !status.ok()) {
-    std::fprintf(stderr, "failed to load %s: %s\n", path.c_str(),
-                 status.ToString().c_str());
-    std::exit(1);
-  }
-  out.scores = scorer->PredictRoi(x);
-  if (scorer->has_intervals()) {
-    StatusOr<std::vector<metrics::Interval>> intervals =
-        scorer->ScoreIntervals(x);
-    if (!intervals.ok()) {
-      std::fprintf(stderr, "%s\n", intervals.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.intervals = std::move(intervals).value();
-  }
-  return out;
+  return {std::move(rows.value().roi), std::move(rows.value().intervals)};
 }
 
 int WriteScoresCsv(const std::string& out_path, const ScoredBatch& scored) {

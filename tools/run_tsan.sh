@@ -30,7 +30,7 @@ build_dir=${2:-"${repo_root}/build-tsan"}
 #                         accountant (ConcurrentShardAccumulation case)
 tsan_tests=(annotated_mutex_test common_misc_test obs_test
             determinism_test scoring_service_test monitor_test
-            load_replay_test alloc_fuzz_test)
+            load_replay_test alloc_fuzz_test score_rows_test)
 
 cmake -S "${repo_root}" -B "${build_dir}" -DROICL_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
